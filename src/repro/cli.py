@@ -371,6 +371,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     kwargs = {}
     if args.repeats is not None:
+        if args.suite == "serve":
+            print("error: --repeats does not apply to --suite serve", file=sys.stderr)
+            return 2
         kwargs["repeats"] = args.repeats
     if getattr(args, "workers", None):
         if args.suite != "scale":
@@ -936,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=None,
-        help="timing repetitions per measurement (report keeps the minimum)",
+        help="timing repetitions per measurement (report keeps the minimum; not serve)",
     )
     p_bench.add_argument(
         "--check-golden",

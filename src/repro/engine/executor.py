@@ -82,6 +82,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, replace
+from multiprocessing import resource_tracker
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.data_volume import tester_data_volume
@@ -1224,6 +1225,9 @@ class FlatExecutor:
                 universe = None
                 socs_arg = socs
         try:
+            # A fork worker shares the parent's resource tracker (which shm
+            # attaches rely on) only if it is already running.
+            resource_tracker.ensure_running()
             pool = pool_context.Pool(
                 processes=processes,
                 initializer=_init_worker,

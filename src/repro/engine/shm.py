@@ -26,18 +26,18 @@ Lifecycle is guarded at both ends.  The parent wraps every published
 segment in a :class:`ShmSegment`, whose ``close()`` runs close + unlink
 exactly once and is backed by a :class:`weakref.finalize` so abandoned
 segments are still reclaimed at garbage collection or interpreter exit.
-Workers unregister attached segments from the ``resource_tracker``
-(attaching registers a second owner on CPython < 3.13, which would
-double-unlink at exit) and cap their attach cache, releasing evicted
-mappings.  The REP012 lint rule pins the other half of the contract:
-every ``SharedMemory`` construction in the source tree must be reachable
-from the lifecycle helpers in this module.
+Workers never unregister from the ``resource_tracker`` they share with
+the parent (:func:`_attach_segment`) and cap their attach cache,
+releasing evicted mappings.  The REP012 lint rule pins the other half of
+the contract: every ``SharedMemory`` construction in the source tree must
+be reachable from the lifecycle helpers in this module.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
+import sys
 import weakref
 from array import array
 from collections import OrderedDict
@@ -119,21 +119,15 @@ def _create_segment(payload: bytes) -> shared_memory.SharedMemory:
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach to a published segment by name (worker side).
 
-    Attaching registers the name with the ``resource_tracker`` a second
-    time on CPython < 3.13, so the tracker would unlink it again (with a
-    warning) when this process exits; unregister immediately -- the
-    publishing parent owns the unlink.
+    Workers share the parent's ``resource_tracker`` (the executor starts it
+    before forking), and the parent owns the tracker entry and the unlink:
+    a worker unregister would drop the parent's entry and make its unlink
+    log a ``KeyError``.  CPython 3.13+ attaches untracked; older versions
+    re-register the name, a no-op in the tracker's set of names.
     """
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")  # type: ignore[attr-defined]
-    except (ImportError, AttributeError, KeyError, ValueError, OSError):
-        # Tracker shape varies by CPython version; a failed unregister
-        # only means a harmless double-unlink warning at worker exit.
-        pass  # pragma: no cover
-    return segment
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    return shared_memory.SharedMemory(name=name)
 
 
 # ----------------------------------------------------------------------

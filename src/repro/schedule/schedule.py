@@ -64,6 +64,10 @@ class ScheduleSegment:
         return self.start < other.end and other.start < self.end
 
 
+#: Each core's segments in time order, keyed in first-appearance order.
+_Groups = Dict[str, List[ScheduleSegment]]
+
+
 @dataclass(frozen=True)
 class CoreScheduleSummary:
     """Per-core view of a schedule: begin/end times, width(s), preemptions."""
@@ -107,11 +111,7 @@ class TestSchedule:
     @property
     def scheduled_cores(self) -> Tuple[str, ...]:
         """Names of all cores that appear in the schedule."""
-        seen: List[str] = []
-        for segment in self.segments:
-            if segment.core not in seen:
-                seen.append(segment.core)
-        return tuple(seen)
+        return tuple(dict.fromkeys(segment.core for segment in self.segments))
 
     @property
     def occupied_area(self) -> int:
@@ -134,6 +134,13 @@ class TestSchedule:
     def segments_for(self, core: str) -> Tuple[ScheduleSegment, ...]:
         """All segments of the named core, in time order."""
         return tuple(segment for segment in self.segments if segment.core == core)
+
+    def _segments_by_core(self) -> _Groups:
+        """Group the segments by core in one pass (see :data:`_Groups`)."""
+        groups: _Groups = {}
+        for segment in self.segments:
+            groups.setdefault(segment.core, []).append(segment)
+        return groups
 
     def preemptions_of(self, core: str) -> int:
         """Number of times the named core's test was preempted."""
@@ -224,9 +231,10 @@ class TestSchedule:
             its assigned width plus its accumulated preemption overhead.
             (The scheduler passes this; external callers usually omit it.)
         """
+        groups = self._segments_by_core()
         if soc is not None:
             core_names = set(soc.core_names)
-            scheduled = set(self.scheduled_cores)
+            scheduled = set(groups)
             unknown = sorted(scheduled - core_names)
             if unknown:
                 raise ScheduleError(f"schedule references unknown cores: {unknown}")
@@ -235,7 +243,7 @@ class TestSchedule:
                 raise ScheduleError(f"schedule does not test cores: {missing}")
 
         self._check_width_capacity()
-        self._check_no_core_self_overlap()
+        self._check_no_core_self_overlap(groups)
 
         if constraints is not None:
             if soc is None:
@@ -243,13 +251,13 @@ class TestSchedule:
                     "constraint validation needs the SOC the schedule was built for"
                 )
             constraints.validate_for(soc)
-            self._check_precedence(constraints)
-            self._check_concurrency(constraints)
+            self._check_precedence(groups, constraints)
+            self._check_concurrency(groups, constraints)
             self._check_power(soc, constraints)
-            self._check_preemption_limits(constraints)
+            self._check_preemption_limits(groups, constraints)
 
         if expected_times is not None:
-            self._check_durations(expected_times)
+            self._check_durations(groups, expected_times)
 
     def _check_width_capacity(self) -> None:
         if self.peak_width() > self.total_width:
@@ -258,9 +266,8 @@ class TestSchedule:
                 f"only {self.total_width} available"
             )
 
-    def _check_no_core_self_overlap(self) -> None:
-        for core in self.scheduled_cores:
-            segments = self.segments_for(core)
+    def _check_no_core_self_overlap(self, groups: _Groups) -> None:
+        for core, segments in groups.items():
             for first, second in zip(segments, segments[1:]):
                 if first.overlaps(second):
                     raise ScheduleError(
@@ -268,10 +275,10 @@ class TestSchedule:
                         f"({first.start}..{first.end} and {second.start}..{second.end})"
                     )
 
-    def _check_precedence(self, constraints: ConstraintSet) -> None:
+    def _check_precedence(self, groups: _Groups, constraints: ConstraintSet) -> None:
         for before, after in constraints.precedence:
-            before_segments = self.segments_for(before)
-            after_segments = self.segments_for(after)
+            before_segments = groups.get(before)
+            after_segments = groups.get(after)
             if not before_segments or not after_segments:
                 continue
             before_end = max(segment.end for segment in before_segments)
@@ -282,11 +289,11 @@ class TestSchedule:
                     f"before {before!r} completes at {before_end}"
                 )
 
-    def _check_concurrency(self, constraints: ConstraintSet) -> None:
+    def _check_concurrency(self, groups: _Groups, constraints: ConstraintSet) -> None:
         for pair in constraints.concurrency:
             first, second = sorted(pair)
-            for seg_a in self.segments_for(first):
-                for seg_b in self.segments_for(second):
+            for seg_a in groups.get(first, ()):
+                for seg_b in groups.get(second, ()):
                     if seg_a.overlaps(seg_b):
                         raise ScheduleError(
                             f"concurrency violated: {first!r} and {second!r} overlap "
@@ -304,18 +311,17 @@ class TestSchedule:
                 f"limit {constraints.power_max}"
             )
 
-    def _check_preemption_limits(self, constraints: ConstraintSet) -> None:
-        for core in self.scheduled_cores:
+    def _check_preemption_limits(self, groups: _Groups, constraints: ConstraintSet) -> None:
+        for core, segments in groups.items():
             limit = constraints.preemption_limit(core)
-            actual = self.preemptions_of(core)
+            actual = len(segments) - 1
             if actual > limit:
                 raise ScheduleError(
                     f"core {core!r} preempted {actual} times, limit is {limit}"
                 )
 
-    def _check_durations(self, expected_times: Dict[str, Dict[int, int]]) -> None:
-        for core in self.scheduled_cores:
-            segments = self.segments_for(core)
+    def _check_durations(self, groups: _Groups, expected_times: Dict[str, Dict[int, int]]) -> None:
+        for core, segments in groups.items():
             widths = {segment.width for segment in segments}
             if len(widths) != 1:
                 raise ScheduleError(

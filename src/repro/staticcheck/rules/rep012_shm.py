@@ -4,8 +4,8 @@ The zero-copy payload plane (:mod:`repro.engine.shm`) owns every
 ``multiprocessing.shared_memory.SharedMemory`` segment the process
 creates or attaches: the parent wraps creations in a finalizer-backed
 :class:`~repro.engine.shm.ShmSegment` (close + unlink exactly once, even
-on abandonment) and workers unregister attachments from the
-``resource_tracker`` and cap their attach cache.  A ``SharedMemory(...)``
+on abandonment) and workers leave the shared ``resource_tracker`` entry
+to the parent and cap their attach cache.  A ``SharedMemory(...)``
 call anywhere else re-creates exactly the leak classes that lifecycle
 exists to rule out: segments that survive the run in ``/dev/shm``,
 double-unlinks at worker exit, and mappings pinned by forgotten views.

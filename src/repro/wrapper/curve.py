@@ -1,35 +1,31 @@
-"""Single-pass wrapper-curve kernel: a core's whole staircase in one sweep.
+"""Single-sort wrapper-curve kernel: a core's whole staircase in one sweep.
 
-:func:`wrapper_curve` computes everything the schedulers ever ask about a
-core's wrapper in one incremental Best-Fit-Decreasing sweep over the TAM
-widths ``1..max_width``:
+:func:`wrapper_curve` computes everything the schedulers ask about a core's
+wrapper -- the testing-time staircase ``T(1..max_width)`` (Figure 1), the
+scan-in/scan-out lengths behind each point and the Pareto-optimal widths --
+in one incremental sweep over the TAM widths.  The lengths are bit-identical
+to running :func:`repro.wrapper.design_wrapper.design_wrapper` (the
+executable reference; ``tests/test_wrapper_curve.py`` pins the kernel to it)
+at every width, with at most one sort per width.
 
-* the testing-time staircase ``T(1), ..., T(max_width)`` (Figure 1),
-* the wrapper scan-in/scan-out lengths behind each point,
-* the Pareto-optimal widths (where the staircase actually steps down).
+The one-cell-at-a-time best-fit loop of
+:func:`repro.wrapper.partition._distribute` is water filling: an ascending
+*pool* of chains rises to a common level ``L`` and the remainder goes one
+cell each to the pool chains the heap's tie-break would pick.  So:
 
-The legacy path (:func:`repro.wrapper.design_wrapper.design_wrapper`) runs
-the full BFD heuristic from scratch at every width -- re-sorting scan
-chains, distributing every wrapper I/O cell one heap operation at a time
-and allocating a tuple of ``WrapperChain`` objects per width.  The kernel
-produces bit-identical lengths while doing none of that per-width work:
+* below the internal chain count ``n``, LPT runs on a heap of packed
+  ``(load << shift) | index`` ints, sorted once; that order is the input
+  fill's pool and tie-break and the output fill's pool;
+* without bidir cells the longest chain is closed form (``L``, plus 1 on a
+  remainder, or the longest chain outside the pool), and saturated widths
+  ``w >= n`` cost O(1) amortised: ``w - n`` empty bins then the ascending
+  chains give ``divmod(cells + P_j, w - n + j)`` for a pool of the ``j``
+  shortest chains (prefix sum ``P_j``), and ``j`` only falls as ``w`` grows;
+* with bidir cells, per-chain vectors are kept and ordered by packed-int
+  sorts: the bidir key does not fix a chain's state, so index ties matter.
 
-* internal scan chains are sorted **once**; the per-width LPT fill operates
-  on a flat integer heap, and once the width exceeds the number of internal
-  chains the partition saturates (each chain alone in a bin) and the fill
-  is reused instead of recomputed;
-* wrapper input/output/bidir cells are distributed **analytically**: the
-  one-cell-at-a-time best-fit loop of
-  :func:`repro.wrapper.partition._distribute` is a water-filling process
-  whose final per-chain lengths can be computed in closed form (fill every
-  eligible chain to a common level ``L``, then hand the remainder to the
-  chains that the heap's tie-break -- secondary key, then index -- would
-  have picked);
-* results are stored in flat integer arrays, not object tuples.
-
-``design_wrapper`` remains the executable reference implementation; the
-property tests in ``tests/test_wrapper_curve.py`` pin the kernel to it on
-randomized cores.
+NumPy is not used: importing it adds about 12 MiB of resident memory, and
+a curve is only ``max_width`` entries long.
 
 Curves are memoised per process in a *growing* per-core cache: asking for a
 wider curve extends the stored arrays instead of recomputing the prefix,
@@ -40,11 +36,13 @@ it for benchmarks that need a cold start.
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from heapq import heapreplace
+from itertools import accumulate
+from operator import add
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.soc.core import Core
 
@@ -65,101 +63,90 @@ class ParetoPoint:
 
 
 # ----------------------------------------------------------------------
-# Analytic (water-filling) emulation of the one-cell-at-a-time distributor
+# Water filling: the one-cell-at-a-time distributor in closed form
 # ----------------------------------------------------------------------
-def _water_level(values: Sequence[int], count: int) -> Tuple[int, int, int]:
-    """Water-fill ``count`` unit cells over ``values``.
+def _level(ordered: Sequence[int], count: int) -> Tuple[int, int, int]:
+    """``(level, pool, extra)`` of water-filling ``count`` cells over ``ordered``.
 
-    Returns ``(level, pool_size, remainder)``: every chain whose value is at
-    most ``level`` ends up *at* ``level``, ``remainder`` of them get one
-    extra cell, and ``pool_size`` is the number of such chains counted in
-    ascending-value order.  This is exactly the multiset the sequential
-    "add each cell to the current minimum" heap loop produces.
+    ``ordered`` holds ascending loads.  The first ``pool`` chains end at
+    ``level`` (the others are above it) and ``extra`` of them get one more.
     """
-    ordered = sorted(values)
-    level = ordered[0]
-    pool = 1
-    budget = count
-    total = len(ordered)
-    while pool < total:
-        gap = ordered[pool] - level
-        need = gap * pool
-        if need > budget:
-            break
-        budget -= need
-        level = ordered[pool]
+    pool, total, size = 1, ordered[0], len(ordered)
+    # Grow the pool while raising it to the next load fits the budget.
+    while pool < size and ordered[pool] * pool - total <= count:
+        total += ordered[pool]
         pool += 1
-    level += budget // pool
-    return level, pool, budget % pool
+    level, extra = divmod(count + total, pool)
+    return level, pool, extra
 
 
-def _fill_cells(
-    values: List[int], secondary: Sequence[int], count: int
-) -> List[int]:
-    """Distribute ``count`` cells, one at a time, onto the minimum chain.
-
-    Emulates ``_distribute`` for input/output cells: each cell goes to the
-    chain with the smallest ``(values[i], secondary[i], i)`` key and
-    increments ``values[i]`` only (``secondary`` stays constant during the
-    phase).  The final per-chain values are reproduced analytically: the
-    eligible pool fills to a common level and the heap's tie-break hands
-    the remainder to the pool chains with the smallest ``(secondary, index)``.
-    """
-    if count == 0:
-        return values
-    level, pool_size, extra = _water_level(values, count)
-    pool = sorted(range(len(values)), key=values.__getitem__)[:pool_size]
-    result = list(values)
-    for index in pool:
-        result[index] = level
-    if extra:
-        for index in sorted(pool, key=lambda i: (secondary[i], i))[:extra]:
-            result[index] = level + 1
-    return result
+def _longest(ordered: Sequence[int], count: int) -> int:
+    """Longest chain after water-filling ``count`` cells over ``ordered``."""
+    level, _, extra = _level(ordered, count)
+    return max(level + 1 if extra else level, ordered[-1])
 
 
-def _fill_bidir_cells(
-    scan_in: List[int], scan_out: List[int], count: int
-) -> Tuple[List[int], List[int]]:
-    """Distribute ``count`` bidirectional cells (they lengthen both paths).
-
-    Emulates ``_distribute`` for bidir cells: key ``(max(si, so), si + so,
-    i)``, each cell incrementing both lengths.  Water-fill the per-chain
-    maxima; a pool chain raised from ``m`` to level ``L`` received ``L - m``
-    cells, so its sum key at the tie-break moment is ``si + so + 2*(L - m)``.
-    """
-    if count == 0:
-        return scan_in, scan_out
-    width = len(scan_in)
-    maxima = [max(scan_in[i], scan_out[i]) for i in range(width)]
-    level, pool_size, extra = _water_level(maxima, count)
-    pool = sorted(range(width), key=maxima.__getitem__)[:pool_size]
-    added = [0] * width
-    for index in pool:
-        added[index] = level - maxima[index]
-    if extra:
-        tie_break = sorted(
-            pool,
-            key=lambda i: (scan_in[i] + scan_out[i] + 2 * added[i], i),
-        )
-        for index in tie_break[:extra]:
-            added[index] += 1
-    new_in = [scan_in[i] + added[i] for i in range(width)]
-    new_out = [scan_out[i] + added[i] for i in range(width)]
-    return new_in, new_out
-
-
-def _raw_scan_lengths(
-    internal: List[int], inputs: int, outputs: int, bidirs: int
+def _saturated_longest(
+    ascending: Sequence[int], prefix: Sequence[int], zeros: int, pool: int, count: int
 ) -> Tuple[int, int]:
-    """Longest scan-in/scan-out over chains with the given internal fills."""
-    if len(internal) == 1:
-        base = internal[0]
-        return base + inputs + bidirs, base + outputs + bidirs
-    scan_in = _fill_cells(list(internal), internal, inputs)
-    scan_out = _fill_cells(list(internal), scan_in, outputs)
-    scan_in, scan_out = _fill_bidir_cells(scan_in, scan_out, bidirs)
-    return max(scan_in), max(scan_out)
+    """:func:`_longest` over ``zeros`` empty bins then the ascending chains.
+
+    ``pool`` bounds the number of chains in the pool from above (pass the
+    value returned at the previous, narrower width).  Returns
+    ``(longest, pool)``.
+    """
+    while pool and ascending[pool - 1] * (zeros + pool) - prefix[pool] > count:
+        pool -= 1
+    level, extra = divmod(count + prefix[pool], zeros + pool)
+    return max(level + 1 if extra else level, ascending[-1] if ascending else 0), pool
+
+
+def _bidir_lengths(
+    order: List[int], shift: int, inputs: int, outputs: int, bidirs: int
+) -> Tuple[int, int]:
+    """Longest scan-in/scan-out of one width's design, bidir cells included.
+
+    ``order`` holds the internal loads as packed ``(load << shift) | index``
+    ints in ascending order.  Emulates the three ``_distribute`` phases on
+    per-chain vectors: input cells (key ``(si, so, i)``), output cells (key
+    ``(so, si, i)``), then bidir cells (key ``(max(si, so), si + so, i)``,
+    each cell lengthening both paths).
+    """
+    mask = (1 << shift) - 1
+    loads = [packed >> shift for packed in order]
+    chains = [packed & mask for packed in order]
+    scan_in = [0] * len(order)
+    for load, index in zip(loads, chains):
+        scan_in[index] = load
+    scan_out = list(scan_in)
+    # Input pool and tie-break both follow ``order``: the secondary key is the load.
+    level, pool, extra = _level(loads, inputs)
+    for rank, index in enumerate(chains[:pool]):
+        scan_in[index] = level + 1 if rank < extra else level
+    level, pool, extra = _level(loads, outputs)
+    for index in chains[:pool]:
+        scan_out[index] = level
+    if extra:
+        ties = sorted((scan_in[index] << shift) | index for index in chains[:pool])
+        for packed in ties[:extra]:
+            scan_out[packed & mask] += 1
+    maxima = sorted(
+        (top << shift) | index for index, top in enumerate(map(max, scan_in, scan_out))
+    )
+    level, pool, extra = _level([packed >> shift for packed in maxima], bidirs)
+    added = [0] * len(order)
+    for packed in maxima[:pool]:
+        added[packed & mask] = level - (packed >> shift)
+    if extra:
+        # A pool chain raised from ``m`` to ``level`` took ``level - m``
+        # cells, so its sum key at the tie-break moment grew by twice that.
+        ties = sorted(
+            ((scan_in[index] + scan_out[index] + 2 * added[index]) << shift) | index
+            for index in (packed & mask for packed in maxima[:pool])
+        )
+        for packed in ties[:extra]:
+            added[packed & mask] += 1
+    return max(map(add, scan_in, added)), max(map(add, scan_out, added))
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +176,6 @@ class _CurveData:
         "scan_in",
         "scan_out",
         "pareto_widths",
-        "_saturated_fill",
     )
 
     def __init__(self, core: Core) -> None:
@@ -206,26 +192,36 @@ class _CurveData:
         self.scan_in = array("q")
         self.scan_out = array("q")
         self.pareto_widths = array("q")
-        self._saturated_fill: Optional[List[int]] = None
 
-    def _internal_fill(self, width: int) -> List[int]:
-        """Per-chain internal scan lengths of the LPT partition at ``width``."""
+    def _raw_lengths(self, start: int, stop: int) -> Iterator[Tuple[int, int]]:
+        """``(si, so)`` of the BFD design at each width ``start..stop``."""
         lengths = self.lengths
-        if width >= len(lengths):
-            # Saturated: every internal chain sits alone in a bin; reuse the
-            # fill and pad with empty bins instead of re-running LPT.
-            if self._saturated_fill is None:
-                self._saturated_fill = list(lengths)
-            fill = self._saturated_fill
-            return fill + [0] * (width - len(fill)) if width > len(fill) else list(fill)
-        bins = [0] * width
-        heap: List[Tuple[int, int]] = [(0, index) for index in range(width)]
-        for length in lengths:
-            load, index = heapq.heappop(heap)
-            load += length
-            bins[index] = load
-            heapq.heappush(heap, (load, index))
-        return bins
+        chains = len(lengths)
+        inputs, outputs, bidirs = self.inputs, self.outputs, self.bidirs
+        # Bidir cores need each bin's index; the others only the multiset
+        # of bin loads, which LPT's index tie-break does not change.
+        shift = stop.bit_length() if bidirs else 0
+        packed_lengths = [length << shift for length in lengths]
+        # Bidir cores run LPT at every width; the others until saturation.
+        lpt_stop = stop if bidirs else min(stop, chains - 1)
+        for width in range(start, lpt_stop + 1):
+            # LPT: each chain, longest first, onto the least-loaded bin.
+            bins = list(range(width)) if bidirs else [0] * width
+            for length in packed_lengths:
+                heapreplace(bins, bins[0] + length)
+            bins.sort()
+            if bidirs:
+                yield _bidir_lengths(bins, shift, inputs, outputs, bidirs)
+            else:
+                yield _longest(bins, inputs), _longest(bins, outputs)
+        ascending = lengths[::-1]
+        prefix = list(accumulate(ascending, initial=0))
+        pool_in = pool_out = chains
+        for width in range(max(start, lpt_stop + 1), stop + 1):
+            zeros = width - chains
+            si, pool_in = _saturated_longest(ascending, prefix, zeros, pool_in, inputs)
+            so, pool_out = _saturated_longest(ascending, prefix, zeros, pool_out, outputs)
+            yield si, so
 
     def extend(self, max_width: int) -> None:
         """Grow the arrays so widths ``1..max_width`` are all computed."""
@@ -233,28 +229,22 @@ class _CurveData:
         if max_width < start:
             return
         patterns = self.patterns
-        for width in range(start, max_width + 1):
-            fill = self._internal_fill(width)
-            si, so = _raw_scan_lengths(fill, self.inputs, self.outputs, self.bidirs)
-            raw_time = (1 + (si if si > so else so)) * patterns + (
-                so if si > so else si
-            )
+        for width, (si, so) in enumerate(self._raw_lengths(start, max_width), start):
+            raw_time = (1 + (si if si > so else so)) * patterns + (so if si > so else si)
             self.raw_times.append(raw_time)
             self.raw_scan_in.append(si)
             self.raw_scan_out.append(so)
             if width == 1 or raw_time < self.times[-1]:
-                # A strict improvement: this width starts a new staircase step
-                # (and is therefore Pareto-optimal).
-                self.best_widths.append(width)
-                self.times.append(raw_time)
-                self.scan_in.append(si)
-                self.scan_out.append(so)
+                # A strict improvement starts a new (Pareto-optimal) staircase step.
                 self.pareto_widths.append(width)
+                best = width
             else:
-                self.best_widths.append(self.best_widths[-1])
-                self.times.append(self.times[-1])
-                self.scan_in.append(self.scan_in[-1])
-                self.scan_out.append(self.scan_out[-1])
+                best = self.best_widths[-1]
+                raw_time, si, so = self.times[-1], self.scan_in[-1], self.scan_out[-1]
+            self.best_widths.append(best)
+            self.times.append(raw_time)
+            self.scan_in.append(si)
+            self.scan_out.append(so)
 
 
 class WrapperCurve:

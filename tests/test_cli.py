@@ -29,6 +29,12 @@ class TestParser:
 
 
 class TestCommands:
+    def test_bench_serve_rejects_repeats(self, capsys):
+        # The serve suite times one request burst; --repeats used to reach
+        # run_serve_suite() as an unexpected keyword and crash.
+        assert main(["bench", "--suite", "serve", "--repeats", "2"]) == 2
+        assert "--repeats does not apply to --suite serve" in capsys.readouterr().err
+
     def test_benchmarks_lists_all(self, capsys):
         assert main(["benchmarks"]) == 0
         out = capsys.readouterr().out

@@ -20,6 +20,10 @@ Four contracts are pinned here:
 """
 
 import gc
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -235,6 +239,46 @@ class TestSegmentLifecycle:
             assert executor._plan_segments == []
         finally:
             executor.close()
+
+    def test_cold_pooled_solves_leave_tracker_and_dev_shm_clean(self):
+        # Workers share the parent's resource tracker: a worker-side
+        # unregister would make the parent's unlink log a KeyError.
+        script = textwrap.dedent(
+            """
+            from repro.analysis.perf import cold_reset
+            from repro.soc.generator import GeneratorProfile, generate_soc
+            from repro.solvers import ScheduleRequest, Session
+
+            soc = generate_soc(3, name="t", profile=GeneratorProfile(min_cores=60, max_cores=60))
+            options = {"percents": (1, 25), "deltas": (0,), "slacks": (3, 6), "workers": 2}
+            for _ in range(2):
+                cold_reset()
+                Session().solve(
+                    ScheduleRequest(soc=soc, total_width=32, solver="best", options=options)
+                )
+            """
+        )
+        before = _psm_segments()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        noisy = [
+            line for line in done.stderr.splitlines()
+            if "resource_tracker" in line or "KeyError" in line
+        ]
+        assert noisy == []
+        assert _psm_segments() - before == set()
+
+
+def _psm_segments():
+    """Names of the multiprocessing shared-memory segments present now."""
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+    except OSError:
+        return set()
 
 
 # ----------------------------------------------------------------------

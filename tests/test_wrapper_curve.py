@@ -5,22 +5,30 @@ with the per-width reference implementation
 (:func:`repro.wrapper.design_wrapper.design_wrapper` and its memoised
 helpers) -- every scan-in/scan-out length, every staircase value, every
 Pareto point, on every core.  The randomized cases here are
-hypothesis-style: a seeded generator draws random scan-chain multisets and
-I/O counts so the analytic water-filling distributor is exercised across
-tie-break and saturation corners that the benchmark SOCs never hit.
+partly seeded draws and partly hypothesis strategies aimed at the
+kernel's branches: equal chain lengths (tie-breaks), widths below, at and
+above the chain count (LPT vs saturated), bidir-only cores and cores with
+no inputs or no outputs, ``max_width`` above 64 (a wider packed-key shift),
+curves grown in two steps, and the shared-memory export/seed round trip.
 """
 
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.soc.benchmarks import get_benchmark
 from repro.soc.core import Core
 from repro.wrapper.curve import (
+    CURVE_TABLE_FIELDS,
     WrapperCurve,
+    _CurveData,
     clear_curve_cache,
     curve_cache_info,
+    export_curve_tables,
+    seed_curve_table,
     wrapper_curve,
 )
 
@@ -102,6 +110,100 @@ class TestKernelEqualsReference:
             scan_chains=(50,) * 8 + (25,) * 4,
         )
         assert_curve_matches_reference(core, 64)
+
+
+@st.composite
+def kernel_cores(draw, inputs=None, outputs=None, bidirs=None):
+    """A core whose chains come in a few repeated lengths (many ties)."""
+    lengths = draw(st.lists(st.integers(1, 60), min_size=1, max_size=3))
+    chains = tuple(
+        length for length in lengths for _ in range(draw(st.integers(0, 6)))
+    )
+    cells = st.integers(0, 90)
+    inputs = draw(cells) if inputs is None else inputs
+    outputs = draw(cells) if outputs is None else outputs
+    bidirs = draw(st.integers(0, 40)) if bidirs is None else bidirs
+    if inputs + outputs + bidirs + len(chains) == 0:
+        chains = (1,)
+    return Core(
+        name="kernel",
+        inputs=inputs,
+        outputs=outputs,
+        bidirs=bidirs,
+        patterns=draw(st.integers(1, 40)),
+        scan_chains=chains,
+    )
+
+
+def table(core: Core, *widths: int):
+    """The per-core arrays after extending a fresh store to each width."""
+    data = _CurveData(core)
+    for width in widths:
+        data.extend(width)
+    return {name: list(getattr(data, name)) for name in CURVE_TABLE_FIELDS}
+
+
+class TestKernelProperties:
+    @given(core=kernel_cores(), extra=st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_widths_below_at_and_above_chain_count(self, core, extra):
+        assert_curve_matches_reference(core, len(core.scan_chains) + extra + 1)
+
+    @given(core=kernel_cores(bidirs=0), extra=st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_cores_without_bidir_cells(self, core, extra):
+        assert_curve_matches_reference(core, len(core.scan_chains) + extra + 1)
+
+    @given(
+        core=st.one_of(
+            kernel_cores(inputs=0, outputs=0),
+            kernel_cores(inputs=0),
+            kernel_cores(outputs=0),
+            kernel_cores(inputs=0, bidirs=0),
+            kernel_cores(outputs=0, bidirs=0),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bidir_only_and_one_sided_cores(self, core):
+        assert_curve_matches_reference(core, len(core.scan_chains) + 4)
+
+    @given(core=kernel_cores(), max_width=st.integers(65, 140))
+    @settings(max_examples=15, deadline=None)
+    def test_max_width_above_64(self, core, max_width):
+        assert_curve_matches_reference(core, max_width)
+
+    @given(core=kernel_cores())
+    @settings(max_examples=60, deadline=None)
+    def test_extending_32_to_64_equals_a_fresh_build(self, core):
+        assert table(core, 32, 64) == table(core, 64)
+
+    @given(cores=st.lists(kernel_cores(), min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_export_seed_round_trip(self, cores):
+        clear_curve_cache()
+        try:
+            for index, core in enumerate(cores):
+                wrapper_curve(core, (32, 64)[index % 2])
+            exported = [
+                (core, [field.tobytes() for field in fields])
+                for core, fields in export_curve_tables()
+            ]
+            clear_curve_cache()
+            for core, fields in exported:
+                assert seed_curve_table(core, fields)
+            assert [
+                (core, [field.tobytes() for field in fields])
+                for core, fields in export_curve_tables()
+            ] == exported
+            # A seeded table extends exactly like a freshly built one.
+            for core in cores:
+                wrapper_curve(core, 80)
+            for core, fields in export_curve_tables():
+                assert {
+                    name: list(field) for name, field in zip(CURVE_TABLE_FIELDS, fields)
+                } == table(core, 80)
+        finally:
+            clear_curve_cache()
 
 
 class TestWrapperCurveApi:
